@@ -1,0 +1,1 @@
+"""Repository benchmark: four workloads, end-to-end and per-layer metrics."""
